@@ -6,10 +6,11 @@
 // per-band constant subexpressions are evaluated once in derive_plan() by
 // calling the originals, and the per-slot remainder repeats the original
 // expression tree term for term, in the same association order. The
-// mirrors are bit-identical to the scalar path by construction -- the
-// golden seed-42 stride-64 checksum pins this, and
-// tests/test_replay_kernel.cpp sweeps every table against its source
-// function.
+// scalar functions stay the model definition; ran::UeSimulator computes
+// its KPI chain only through these mirrors, which are bit-identical to
+// the originals by construction -- tests/test_replay_kernel.cpp sweeps
+// every table against its source function, and the golden seed-42
+// stride-64 checksum pins the whole chain.
 #pragma once
 
 #include <array>

@@ -63,8 +63,7 @@ void UeSimulator::clear_history() {
   // seen_cells_ intentionally kept: Table 1 counts over the whole campaign.
 }
 
-double UeSimulator::draw_cell_load(Environment env, SimTime now, Meters pos) {
-  (void)pos;
+double UeSimulator::draw_cell_load(Environment env, SimTime now) {
   // Identity regimes skip the scaling entirely so the paper-default draw
   // stays bit-identical (same arithmetic, same RNG consumption).
   double target = target_load(env);
@@ -96,20 +95,16 @@ double UeSimulator::target_load(Environment env) const {
 
 Dbm UeSimulator::layer_rsrp(Tech tech, const Cell& cell, double dist_m,
                             Environment env, Db shadow) const {
-  radio::ChannelState ch;
-  ch.shadowing = Db{shadow.value - cell.site_offset_db};
+  Db shadowing{shadow.value - cell.site_offset_db};
   if (tech == Tech::NR_MMWAVE) {
-    ch.shadowing = ch.shadowing + profile_.mmwave_beam_penalty;
+    shadowing = shadowing + profile_.mmwave_beam_penalty;
   }
-  if (slot_.batch != nullptr) {
-    // Cached mirror of radio::rsrp: ((const - pl) - shadowing) - blockage,
-    // with blockage 0 here (RSRP excludes fast fading and blockage by
-    // construction of the callers).
-    const radio::BandDerived& bd = derived_.band(tech);
-    const double pl = radio::cached_pathloss_db(bd, env, dist_m);
-    return Dbm{(bd.rsrp_const_db - pl) - ch.shadowing.value};
-  }
-  return radio::rsrp(plan_.profile(tech), env, Meters{dist_m}, ch);
+  // Cached mirror of radio::rsrp: ((const - pl) - shadowing) - blockage,
+  // with blockage 0 here (RSRP excludes fast fading and blockage by
+  // construction of the callers).
+  const radio::BandDerived& bd = derived_.band(tech);
+  const double pl = radio::cached_pathloss_db(bd, env, dist_m);
+  return Dbm{(bd.rsrp_const_db - pl) - shadowing.value};
 }
 
 double UeSimulator::candidate_distance(Tech tech, Meters pos) const {
@@ -362,7 +357,7 @@ void UeSimulator::evaluate_policy(SimTime now, Meters pos, Mph speed) {
       serving_cell_ = pick_cell;
       connected_ = true;
       seen_cells_.push_back(pick_cell->id);
-      load_ = load_target_ = draw_cell_load(slot_.env, now, pos);
+      load_ = load_target_ = draw_cell_load(slot_.env, now);
     }
   }
   policy_initialized_ = true;
@@ -400,10 +395,10 @@ void UeSimulator::begin_handover(SimTime now, Meters pos, Tech to_tech,
   // New cell, new load conditions. An upgrade to 5G is not blind: the
   // network promotes UEs toward cells with spare capacity, so redraw once
   // if the first draw came up congested.
-  load_ = load_target_ = draw_cell_load(slot_.env, now, pos);
+  load_ = load_target_ = draw_cell_load(slot_.env, now);
   if (radio::is_5g(rec.to_tech) && !radio::is_5g(rec.from_tech) &&
       load_ > 0.8) {
-    load_ = load_target_ = draw_cell_load(slot_.env, now, pos);
+    load_ = load_target_ = draw_cell_load(slot_.env, now);
   }
 }
 
@@ -530,9 +525,9 @@ LinkSample UeSimulator::step_core(SimTime now, Meters pos, Mph speed,
   s.cell = serving_cell_->id;
 
   // Channel for SINR: shadowing + fast fading + blockage. (Built before
-  // the RSRP so the batched branch can share one path-loss evaluation;
-  // neither the channel construction nor the RSRP draws from the RNG, so
-  // the stream order is unchanged.)
+  // the RSRP so both share one path-loss evaluation; neither the channel
+  // construction nor the RSRP draws from the RNG, so the stream order is
+  // unchanged.)
   radio::ChannelState ch;
   ch.shadowing = Db{shadow.value - serving_cell_->site_offset_db +
                     (tech == Tech::NR_MMWAVE
@@ -559,38 +554,24 @@ LinkSample UeSimulator::step_core(SimTime now, Meters pos, Mph speed,
   const double prb_dl = std::max(0.02, std::pow(1.0 - load_, 1.5));
   const double prb_ul = std::max(0.06, std::pow(1.0 - load_, 0.6));
 
-  radio::PhyRateResult dl;
-  radio::PhyRateResult ul;
-  if (slot_.batch != nullptr) {
-    // Cached mirrors: one hoisted path loss shared by the reported RSRP,
-    // RSRP-for-SINR and both SINR directions (the scalar path evaluates
-    // the identical expression four times), table-driven adaptation.
-    const radio::BandDerived& bd = derived_.band(tech);
-    const double pl = radio::cached_pathloss_db(bd, env, dist.value);
-    s.rsrp = Dbm{(bd.rsrp_const_db - pl) - ch.shadowing.value};
-    const double rsrp_sinr =
-        ((bd.rsrp_const_db - pl) - ch.shadowing.value) -
-        ch.blockage_loss.value;
-    const double rx_dl = rsrp_sinr + ch.fast_fading.value;
-    s.sinr_dl = Db{(rx_dl - radio::kNoisePerRe.value) - margin_dl.value};
-    const double rx_ul = (((bd.ul_const_db - pl) - ch.shadowing.value) -
-                          ch.blockage_loss.value) +
-                         ch.fast_fading.value;
-    s.sinr_ul = Db{(rx_ul - radio::kNoisePerRe.value) - margin_ul.value};
-    dl = radio::cached_phy_rate(derived_, bd, Direction::Downlink, s.sinr_dl,
-                                num_cc_dl_, prb_dl);
-    ul = radio::cached_phy_rate(derived_, bd, Direction::Uplink, s.sinr_ul,
-                                num_cc_ul_, prb_ul);
-  } else {
-    s.rsrp = layer_rsrp(tech, *serving_cell_, dist.value, env, shadow);
-    const radio::BandProfile& band = plan_.profile(tech);
-    s.sinr_dl = radio::sinr_downlink(band, env, dist, ch, margin_dl);
-    s.sinr_ul = radio::sinr_uplink(band, env, dist, ch, margin_ul);
-    dl = radio::compute_phy_rate(band, Direction::Downlink, s.sinr_dl,
-                                 num_cc_dl_, prb_dl);
-    ul = radio::compute_phy_rate(band, Direction::Uplink, s.sinr_ul,
-                                 num_cc_ul_, prb_ul);
-  }
+  // Cached mirrors of radio::rsrp/sinr_*/compute_phy_rate: one hoisted
+  // path loss shared by the reported RSRP, RSRP-for-SINR and both SINR
+  // directions, table-driven adaptation.
+  const radio::BandDerived& bd = derived_.band(tech);
+  const double pl = radio::cached_pathloss_db(bd, env, dist.value);
+  s.rsrp = Dbm{(bd.rsrp_const_db - pl) - ch.shadowing.value};
+  const double rsrp_sinr =
+      ((bd.rsrp_const_db - pl) - ch.shadowing.value) - ch.blockage_loss.value;
+  const double rx_dl = rsrp_sinr + ch.fast_fading.value;
+  s.sinr_dl = Db{(rx_dl - radio::kNoisePerRe.value) - margin_dl.value};
+  const double rx_ul = (((bd.ul_const_db - pl) - ch.shadowing.value) -
+                        ch.blockage_loss.value) +
+                       ch.fast_fading.value;
+  s.sinr_ul = Db{(rx_ul - radio::kNoisePerRe.value) - margin_ul.value};
+  const radio::PhyRateResult dl = radio::cached_phy_rate(
+      derived_, bd, Direction::Downlink, s.sinr_dl, num_cc_dl_, prb_dl);
+  const radio::PhyRateResult ul = radio::cached_phy_rate(
+      derived_, bd, Direction::Uplink, s.sinr_ul, num_cc_ul_, prb_ul);
   s.mcs_dl = dl.mcs;
   s.mcs_ul = ul.mcs;
   s.bler_dl = dl.bler;

@@ -90,18 +90,20 @@ class UeSimulator {
 
   // Advance the UE to corridor position `pos` (monotonic non-decreasing)
   // at simulated time `now`; `dt` is the elapsed time since the previous
-  // step and `speed` the current vehicle speed.
+  // step and `speed` the current vehicle speed. Geometry comes from
+  // Corridor/Deployment lookups: the input for callers without a recorded
+  // trajectory (app campaigns, static baselines).
   LinkSample step(SimTime now, Meters pos, Mph speed, Millis dt);
 
-  // Batched replay. begin_segment() prefetches the per-layer shadowing
+  // Trajectory replay. begin_segment() prefetches the per-layer shadowing
   // rows for every slot of the batch (same recurrence, same per-stream RNG
-  // draw order as scalar stepping); the batched step() then consumes rows
-  // 0..size-1 in order, one step per row, with geometry, environment and
-  // candidate cells read from the batch instead of Corridor/Deployment
-  // lookups. Bit-identical to the scalar step() at the same
+  // draw order as per-step advancing); the batched step() then consumes
+  // rows 0..size-1 in order, one step per row, with geometry, environment
+  // and candidate cells read from the batch instead of Corridor/Deployment
+  // lookups. Bit-identical to the position step() at the same
   // position/speed/dt. A UE that steps a batch *without* begin_segment()
-  // (the passive logger, on its own cadence) advances shadowing scalar
-  // per call and only borrows the batch geometry.
+  // (the passive logger, on its own cadence) advances shadowing per call
+  // and only borrows the batch geometry.
   void begin_segment(const SegmentBatch& batch);
   LinkSample step(SimTime now, Millis dt, const SegmentBatch& batch,
                   std::size_t row);
@@ -127,8 +129,10 @@ class UeSimulator {
   };
 
   // Everything about the step in flight that used to be re-derived from
-  // Corridor/Deployment lookups. Valid for the duration of one step();
-  // `batch` selects the cached-constant math mirrors when non-null.
+  // Corridor/Deployment lookups. Valid for the duration of one step().
+  // `batch` only selects where geometry comes from: the batch row's
+  // candidate distances when non-null, Deployment lookups otherwise. The
+  // KPI chain is the same for both.
   struct SlotContext {
     radio::Environment env = radio::Environment::Rural;
     TimeZone tz = TimeZone::Pacific;
@@ -153,8 +157,7 @@ class UeSimulator {
   void begin_handover(SimTime now, Meters pos, radio::Tech to_tech,
                       const Cell* to_cell);
   [[nodiscard]] double target_load(radio::Environment env) const;
-  [[nodiscard]] double draw_cell_load(radio::Environment env, SimTime now,
-                                      Meters pos);
+  [[nodiscard]] double draw_cell_load(radio::Environment env, SimTime now);
   [[nodiscard]] Millis sample_ho_duration();
 
   const Corridor& corridor_;
@@ -197,8 +200,10 @@ class UeSimulator {
   bool first_step_ = true;
   bool favourable_ = false;
 
-  // Batched-replay state. `derived_` hoists the plan's band constants and
-  // adaptation tables; the scratch rows are reused segment to segment.
+  // `derived_` hoists the plan's band constants and adaptation tables:
+  // every step computes the RSRP -> SINR -> MCS/BLER/CA -> PHY-rate chain
+  // through it. The shadowing scratch rows serve begin_segment() and are
+  // reused segment to segment.
   radio::DerivedPlan derived_;
   SlotContext slot_;
   bool layers_ready_ = false;

@@ -117,8 +117,7 @@ Campaign::Campaign(CampaignConfig cfg)
       regime_(ran::regime_from_spec(cfg_.spec.load_regime)),
       servers_(edge_sites_from(route_)),
       trip_(route_, corridor_, rng_.fork("trip"), cfg_.drive),
-      jobs_(resolve_jobs()),
-      use_kernel_(replay_kernel_enabled_from_env()) {
+      jobs_(resolve_jobs()) {
   // Roster slot i realizes operators[i] (validate() pins the roster to
   // exactly 3). Fork labels are the roster names: paper-default names the
   // real operators, so the streams match the pre-scenario engine exactly.
@@ -146,29 +145,24 @@ const ran::Deployment& Campaign::deployment(OperatorId op) const {
 
 void Campaign::set_jobs(int jobs) { jobs_ = resolve_jobs(jobs); }
 
-const ran::SegmentBatch* Campaign::maybe_batch(PhoneSet& ph,
-                                               const Trajectory& traj,
-                                               const TrajectorySegment& seg) {
-  if (!use_kernel_ || seg.end <= seg.begin) return nullptr;
+const ran::SegmentBatch& Campaign::segment_batch(
+    PhoneSet& ph, const Trajectory& traj, const TrajectorySegment& seg) {
   const auto i = static_cast<std::size_t>(ph.op);
   prepare_segment_batch(traj, seg, *deployments_[i], profiles_[i],
                         ph.scratch.batch);
   ph.test_ue.begin_segment(ph.scratch.batch);
-  return &ph.scratch.batch;
+  return ph.scratch.batch;
 }
 
 void Campaign::step_passive(PhoneSet& ph, const TrajectoryPoint& pt, Millis dt,
-                            const ran::SegmentBatch* batch, std::size_t row) {
+                            const ran::SegmentBatch& batch, std::size_t row) {
   // The passive phone samples coarsely (its ping cadence is 200 ms) and
   // logs a technology record every second.
   ph.passive_step_accum += dt;
   ph.passive_log_accum += dt;
   if (ph.passive_step_accum.value >= 200.0) {
     const auto link =
-        batch != nullptr
-            ? ph.passive_ue.step(pt.time, ph.passive_step_accum, *batch, row)
-            : ph.passive_ue.step(pt.time, pt.position, pt.speed,
-                                 ph.passive_step_accum);
+        ph.passive_ue.step(pt.time, ph.passive_step_accum, batch, row);
     ph.passive_step_accum = Millis{0.0};
     if (ph.passive_log_accum.value >= 1'000.0) {
       ph.passive_log_accum = Millis{0.0};
@@ -213,7 +207,7 @@ void Campaign::replay_bulk(PhoneSet& ph, const Trajectory& traj,
   std::vector<double>& window_tputs = ph.scratch.window_tputs;
   window_tputs.clear();
   window_tputs.reserve(seg.end - seg.begin);
-  const ran::SegmentBatch* batch = maybe_batch(ph, traj, seg);
+  const ran::SegmentBatch& batch = segment_batch(ph, traj, seg);
   WindowAccum w;
   int hs5g_slots = 0;
   int total_slots = 0;
@@ -257,10 +251,7 @@ void Campaign::replay_bulk(PhoneSet& ph, const Trajectory& traj,
     window_elapsed += seg.slot;
     step_passive(ph, pt, seg.slot, batch, j - seg.begin);
 
-    const auto link =
-        batch != nullptr
-            ? ph.test_ue.step(pt.time, seg.slot, *batch, j - seg.begin)
-            : ph.test_ue.step(pt.time, pt.position, pt.speed, seg.slot);
+    const auto link = ph.test_ue.step(pt.time, seg.slot, batch, j - seg.begin);
     const Millis base_rtt =
         link.air_latency * 2.0 + server.one_way_delay * 2.0;
     const double bytes = ph.flow.step(seg.slot, link.phy_rate(dir), base_rtt);
@@ -324,7 +315,7 @@ void Campaign::replay_rtt(PhoneSet& ph, const Trajectory& traj,
   std::vector<double>& rtts = ph.scratch.rtts;
   rtts.clear();
   rtts.reserve(seg.end - seg.begin);
-  const ran::SegmentBatch* batch = maybe_batch(ph, traj, seg);
+  const ran::SegmentBatch& batch = segment_batch(ph, traj, seg);
   int hs5g_slots = 0;
   int total_slots = 0;
 
@@ -332,10 +323,7 @@ void Campaign::replay_rtt(PhoneSet& ph, const Trajectory& traj,
     const TrajectoryPoint& pt = traj.points[j];
     step_passive(ph, pt, seg.slot, batch, j - seg.begin);
 
-    const auto link =
-        batch != nullptr
-            ? ph.test_ue.step(pt.time, seg.slot, *batch, j - seg.begin)
-            : ph.test_ue.step(pt.time, pt.position, pt.speed, seg.slot);
+    const auto link = ph.test_ue.step(pt.time, seg.slot, batch, j - seg.begin);
     ++total_slots;
     if (link.connected && radio::is_high_speed(link.tech)) ++hs5g_slots;
     since_ping += seg.slot;
@@ -387,15 +375,11 @@ void Campaign::replay_rtt(PhoneSet& ph, const Trajectory& traj,
 void Campaign::replay_idle(PhoneSet& ph, const Trajectory& traj,
                            const TrajectorySegment& seg) {
   ph.test_ue.set_traffic(ran::TrafficProfile::Idle);
-  const ran::SegmentBatch* batch = maybe_batch(ph, traj, seg);
+  const ran::SegmentBatch& batch = segment_batch(ph, traj, seg);
   for (std::size_t j = seg.begin; j < seg.end; ++j) {
     const TrajectoryPoint& pt = traj.points[j];
     step_passive(ph, pt, seg.slot, batch, j - seg.begin);
-    if (batch != nullptr) {
-      ph.test_ue.step(pt.time, seg.slot, *batch, j - seg.begin);
-    } else {
-      ph.test_ue.step(pt.time, pt.position, pt.speed, seg.slot);
-    }
+    ph.test_ue.step(pt.time, seg.slot, batch, j - seg.begin);
   }
 }
 

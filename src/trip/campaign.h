@@ -6,7 +6,8 @@
 //
 // Execution model (see DESIGN.md "Parallel execution model"): the drive is
 // recorded once into a Trajectory, then each operator's PhoneSet replays it
-// on its own worker thread. Results are bit-identical for any jobs count
+// on its own worker thread, one segment batch at a time
+// (trip/replay_kernel.h). Results are bit-identical for any jobs count
 // because every stochastic process is pinned to per-operator (or per-city)
 // Rng forks and outputs land in per-operator slots assembled in fixed
 // order.
@@ -113,14 +114,6 @@ class Campaign {
   void set_jobs(int jobs);
   [[nodiscard]] int jobs() const { return jobs_; }
 
-  // Select the batched structure-of-arrays replay kernel (the default) or
-  // the original per-slot scalar path. Like the jobs count this is an
-  // execution knob: both paths produce byte-identical results (pinned by
-  // tests/test_replay_kernel.cpp). Resolved from WHEELS_REPLAY_KERNEL at
-  // construction; call before run().
-  void set_replay_kernel(bool enabled) { use_kernel_ = enabled; }
-  [[nodiscard]] bool replay_kernel() const { return use_kernel_; }
-
   [[nodiscard]] const Route& route() const { return route_; }
   [[nodiscard]] const ran::Corridor& corridor() const { return corridor_; }
   [[nodiscard]] const ran::Deployment& deployment(ran::OperatorId op) const;
@@ -135,15 +128,13 @@ class Campaign {
                   const TrajectorySegment& seg);
   void replay_idle(PhoneSet& ph, const Trajectory& traj,
                    const TrajectorySegment& seg);
-  // `batch`/`row`, when given, route the passive UE through the batched
-  // step (geometry from the segment batch instead of per-slot lookups).
+  // The passive UE borrows row `row` of the segment batch for its
+  // geometry but keeps its own stepping cadence.
   void step_passive(PhoneSet& ph, const TrajectoryPoint& pt, Millis dt,
-                    const ran::SegmentBatch* batch, std::size_t row);
-  // Prepare the scratch batch for `seg` if the kernel is enabled and the
-  // segment is non-empty; returns the batch to replay with, or nullptr
-  // for the scalar path.
-  const ran::SegmentBatch* maybe_batch(PhoneSet& ph, const Trajectory& traj,
-                                       const TrajectorySegment& seg);
+                    const ran::SegmentBatch& batch, std::size_t row);
+  // Prepare the scratch batch for `seg` and start the test UE on it.
+  const ran::SegmentBatch& segment_batch(PhoneSet& ph, const Trajectory& traj,
+                                         const TrajectorySegment& seg);
 
   CampaignConfig cfg_;
   Rng rng_;
@@ -159,7 +150,6 @@ class Campaign {
   std::vector<std::unique_ptr<PhoneSet>> phones_;
   CampaignResult result_;
   int jobs_ = 1;
-  bool use_kernel_ = true;  // ctor resolves WHEELS_REPLAY_KERNEL
   std::mutex run_mu_;
   bool ran_ = false;
 };

@@ -1,17 +1,29 @@
 // Equivalence proofs for the batched replay kernel.
 //
-// Two layers of evidence that WHEELS_REPLAY_KERNEL is an execution knob
-// and not a model change: (1) unit sweeps pin every derived table and
-// cached mirror in src/radio/kernel.* to the scalar function it was
-// hoisted from, including the exact CQI/MCS decision boundaries; (2)
-// whole-campaign runs over every library scenario must produce
-// byte-identical datasets with the kernel on and off, and (kernel on)
-// across jobs counts -- the paper-default run additionally re-proves the
-// golden seed-42 stride-64 checksum.
+// The campaign replays every trajectory segment through the batch, and
+// every UE step computes the KPI chain through the cached mirrors in
+// src/radio/kernel.*. Three layers of evidence keep that single path equal
+// to the model: (1) unit sweeps pin every derived table and cached mirror
+// to the scalar radio function it was hoisted from, including the exact
+// CQI/MCS decision boundaries; (2) for every library scenario, UEs built
+// from one fork replay the first segments of a recorded trajectory three
+// ways -- position-based stepping, the batch with its shadowing prefill,
+// and the batch without prefill (the passive logger's mode) -- and must
+// produce identical samples and handover records; (3) whole campaigns,
+// static baselines and app campaigns of every library scenario must
+// reproduce the checksums the scalar radio:: chain produced before the
+// mirrors became the only path (the paper-default campaign's is the
+// golden seed-42 stride-64 checksum).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <vector>
 
+#include "apps/app_campaign.h"
 #include "contract_pins.h"
 #include "dataset/serialize.h"
 #include "radio/band.h"
@@ -19,8 +31,14 @@
 #include "radio/mcs.h"
 #include "radio/pathloss.h"
 #include "radio/phy_rate.h"
+#include "ran/kernel.h"
+#include "ran/operator_profile.h"
+#include "ran/scenario_profiles.h"
+#include "ran/ue.h"
 #include "scenario/spec.h"
 #include "trip/campaign.h"
+#include "trip/replay_kernel.h"
+#include "trip/trajectory.h"
 
 namespace wheels::radio {
 namespace {
@@ -103,64 +121,232 @@ TEST(ReplayKernelTable, PhyRateMatchesScalar) {
 namespace wheels::trip {
 namespace {
 
-std::string campaign_bytes(const scenario::ScenarioSpec& spec, int stride,
-                           bool kernel, int jobs) {
-  Campaign c(CampaignConfig::from_scenario(spec, stride));
-  c.set_replay_kernel(kernel);
-  c.set_jobs(jobs);
-  return dataset::encode(c.run());
+// The first segments of a stride-64 trajectory: a full test cycle (bulk
+// DL, bulk UL, RTT, each followed by a gap), the 63 fast-forwarded cycles
+// after it and the next full cycle -- about 64k slots at both slot
+// lengths, with ~100 handovers per scenario along the way.
+constexpr int kStride = 64;
+constexpr std::size_t kSegments = 6 + (kStride - 1) + 6;
+
+ran::TrafficProfile traffic_for(SegmentKind kind) {
+  switch (kind) {
+    case SegmentKind::BulkDl: return ran::TrafficProfile::BackloggedDl;
+    case SegmentKind::BulkUl: return ran::TrafficProfile::BackloggedUl;
+    case SegmentKind::Rtt:
+    case SegmentKind::Gap:
+    case SegmentKind::FastForward: return ran::TrafficProfile::Idle;
+  }
+  return ran::TrafficProfile::Idle;
 }
 
-void expect_kernel_matches_scalar(const std::string& name, int stride) {
-  const scenario::ScenarioSpec spec = scenario::load_scenario(name);
-  const std::string scalar = campaign_bytes(spec, stride, false, 1);
-  const std::string kernel = campaign_bytes(spec, stride, true, 1);
-  ASSERT_EQ(scalar.size(), kernel.size()) << name;
-  EXPECT_TRUE(scalar == kernel)
-      << "scenario " << name
-      << " diverged between the scalar and batched replay paths";
+// Every LinkSample field, compared exactly.
+auto fields(const ran::LinkSample& s) {
+  return std::tuple(s.connected, static_cast<int>(s.tech), s.cell,
+                    s.rsrp.value, s.sinr_dl.value, s.sinr_ul.value, s.mcs_dl,
+                    s.mcs_ul, s.bler_dl, s.bler_ul, s.num_cc_dl, s.num_cc_ul,
+                    s.phy_rate_dl.value, s.phy_rate_ul.value, s.in_handover,
+                    s.air_latency.value, s.cell_load);
+}
+
+class ReplayKernel : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ReplayKernel, BatchedStepMatchesPositionStep) {
+  const scenario::ScenarioSpec spec = scenario::load_scenario(GetParam());
+  const CampaignConfig cfg = CampaignConfig::from_scenario(spec, kStride);
+  const Campaign campaign(cfg);
+  TripSimulator sim(campaign.route(), campaign.corridor(),
+                    Rng(cfg.seed).fork("trip"), cfg.drive);
+  const Trajectory traj = record_trajectory(sim, campaign.corridor(), cfg);
+  ASSERT_GE(traj.segments.size(), kSegments);
+  const ran::LoadRegime regime = ran::regime_from_spec(spec.load_regime);
+
+  std::size_t handovers = 0;
+  for (ran::OperatorId op : ran::kAllOperators) {
+    const auto i = static_cast<std::size_t>(op);
+    const ran::OperatorProfile profile =
+        ran::profile_from_spec(spec.operators[i], op);
+    const ran::Deployment& dep = campaign.deployment(op);
+    // One fork, three copies: the UEs must consume identical streams.
+    const Rng ue_rng = Rng(cfg.seed).fork("equivalence");
+    const auto make_ue = [&] {
+      return ran::UeSimulator(campaign.corridor(), dep, profile, ue_rng,
+                              ran::TrafficProfile::Idle, spec.bands, regime);
+    };
+    ran::UeSimulator by_position = make_ue();
+    ran::UeSimulator prefilled = make_ue();
+    ran::UeSimulator borrowing = make_ue();
+    ran::SegmentBatch batch;
+
+    for (std::size_t k = 0; k < kSegments; ++k) {
+      const TrajectorySegment& seg = traj.segments[k];
+      for (ran::UeSimulator* ue : {&by_position, &prefilled, &borrowing}) {
+        ue->set_traffic(traffic_for(seg.kind));
+      }
+      if (seg.end == seg.begin) continue;
+      prepare_segment_batch(traj, seg, dep, profile, batch);
+      prefilled.begin_segment(batch);
+      for (std::size_t j = seg.begin; j < seg.end; ++j) {
+        const TrajectoryPoint& pt = traj.points[j];
+        const std::size_t row = j - seg.begin;
+        const auto want = fields(
+            by_position.step(pt.time, pt.position, pt.speed, seg.slot));
+        ASSERT_EQ(fields(prefilled.step(pt.time, seg.slot, batch, row)), want)
+            << GetParam() << " " << to_string(op) << " prefilled, segment "
+            << k << " row " << row;
+        ASSERT_EQ(fields(borrowing.step(pt.time, seg.slot, batch, row)), want)
+            << GetParam() << " " << to_string(op) << " borrowing, segment "
+            << k << " row " << row;
+      }
+    }
+    EXPECT_EQ(prefilled.handovers(), by_position.handovers()) << to_string(op);
+    EXPECT_EQ(borrowing.handovers(), by_position.handovers()) << to_string(op);
+    EXPECT_EQ(prefilled.seen_cells(), by_position.seen_cells());
+    EXPECT_EQ(borrowing.seen_cells(), by_position.seen_cells());
+    handovers += by_position.handovers().size();
+  }
+  // The comparison must cover the handover path, not just steady service.
+  EXPECT_GT(handovers, 0U) << GetParam();
+}
+
+// FNV-1a checksums recorded from the scalar radio:: chain, which the
+// campaign ran with the batch switched off and the position-based UE step
+// always ran. The campaign at each scenario's stride and the static
+// baselines (Verizon, T-Mobile, AT&T) of the same Campaign; the app
+// campaign at stride 10 and its static baselines.
+struct ScalarPins {
+  std::string_view scenario;
+  int stride;
+  std::uint64_t campaign;
+  std::array<std::uint64_t, 3> statics;
+  std::uint64_t apps;
+  std::array<std::uint64_t, 3> app_statics;
+};
+
+constexpr int kAppStride = 10;
+
+constexpr std::array<ScalarPins, 6> kScalarPins = {{
+    {"paper-default", contract::kGoldenStride,
+     contract::kGoldenCampaignChecksum,
+     {0xc29acc08279cd0bcULL, 0x420116fc585096eeULL, 0x879955a220b6e345ULL},
+     0xa6a56b138f72efddULL,
+     {0x69562470916eaf7bULL, 0x2a0f79c812e411c1ULL, 0xa5379c22d1ca3952ULL}},
+    {"urban-loop", 16, 0x99312d940f380debULL,
+     {0x9ff77f37084144b7ULL, 0xe65effac37fe8c32ULL, 0x2103afcc92b1bd34ULL},
+     0x10eac8ab4888f376ULL,
+     {0x7a7b482bfc067975ULL, 0x9fd3ffe407899af2ULL, 0xcbe7a9db777ce568ULL}},
+    {"commuter-corridor", 32, 0x1aa9892158e4fc92ULL,
+     {0x7756a13a68ca3195ULL, 0x7b79dd89a9657af0ULL, 0x4140170db3b85e45ULL},
+     0xb922559d773d0174ULL,
+     {0xf6a445d2ac7ddd8fULL, 0xa81c3bb95606db92ULL, 0xe452f1d241e8c361ULL}},
+    {"highway-convoy", 64, 0x072f582e23060ba0ULL,
+     {0x12ccf681c9f334ebULL, 0x544e6e5399dd946fULL, 0x9027917a5d11e04dULL},
+     0xaa0ffd5a2a75371dULL,
+     {0x0d380b55f28a9b36ULL, 0x38e0d2d8c8ba46c3ULL, 0x60e9630cd910b6d8ULL}},
+    {"eu-band-plan", 32, 0xefe42ffcd7bb8d7cULL,
+     {0x951b9907967eaf58ULL, 0x5aec0380df414687ULL, 0x69c39dc4b15c8f35ULL},
+     0xd8becc51f886f37cULL,
+     {0x0465830cf2c126f6ULL, 0x7be60f0b661041daULL, 0x576c70e59e802df4ULL}},
+    {"degraded-coverage-storm", 32, 0xc73f9d0613f49fcbULL,
+     {0x1825e2c5acb6a3b1ULL, 0xfcc65022fbb0887dULL, 0x932bc23f35d57a33ULL},
+     0x0d1accc992300ec2ULL,
+     {0xdf15e9107602ede4ULL, 0x7d2e5181628cf5c3ULL, 0x3d3e51e44a83e8e5ULL}},
+}};
+
+const ScalarPins& pins_for(std::string_view scenario) {
+  for (const ScalarPins& p : kScalarPins) {
+    if (p.scenario == scenario) return p;
+  }
+  ADD_FAILURE() << "no scalar pins for " << scenario;
+  return kScalarPins[0];
+}
+
+// The campaign (at `jobs` workers) and its static baselines must hash to
+// the scalar chain's checksums.
+void expect_campaign_matches_scalar(std::string_view name, int jobs = 1) {
+  const ScalarPins& pins = pins_for(name);
+  Campaign c(CampaignConfig::from_scenario(
+      scenario::load_scenario(std::string(name)), pins.stride));
+  c.set_jobs(jobs);
+  EXPECT_EQ(dataset::fnv1a(dataset::encode(c.run())), pins.campaign)
+      << "scenario " << name << " at jobs=" << jobs
+      << " diverged from the scalar replay bytes";
+  for (ran::OperatorId op : ran::kAllOperators) {
+    EXPECT_EQ(dataset::fnv1a(dataset::encode(c.run_static_baseline(op))),
+              pins.statics[static_cast<std::size_t>(op)])
+        << "scenario " << name << " static baseline " << to_string(op);
+  }
 }
 
 TEST(ReplayKernel, PaperDefaultMatchesScalarAndGolden) {
-  const scenario::ScenarioSpec spec = scenario::paper_default();
-  const std::string scalar =
-      campaign_bytes(spec, contract::kGoldenStride, false, 1);
-  const std::string kernel =
-      campaign_bytes(spec, contract::kGoldenStride, true, 1);
-  EXPECT_TRUE(scalar == kernel)
-      << "paper-default diverged between scalar and batched replay";
-  EXPECT_EQ(dataset::fnv1a(kernel), contract::kGoldenCampaignChecksum);
+  // The paper-default pin is the golden checksum itself.
+  static_assert(kScalarPins[0].campaign == contract::kGoldenCampaignChecksum);
+  expect_campaign_matches_scalar("paper-default");
 }
 
 TEST(ReplayKernel, UrbanLoopMatchesScalar) {
-  expect_kernel_matches_scalar("urban-loop", 16);
+  expect_campaign_matches_scalar("urban-loop");
 }
 
 TEST(ReplayKernel, CommuterCorridorMatchesScalar) {
-  expect_kernel_matches_scalar("commuter-corridor", 32);
+  expect_campaign_matches_scalar("commuter-corridor");
 }
 
 TEST(ReplayKernel, HighwayConvoyMatchesScalar) {
-  expect_kernel_matches_scalar("highway-convoy", 64);
+  expect_campaign_matches_scalar("highway-convoy");
 }
 
 TEST(ReplayKernel, EuBandPlanMatchesScalar) {
-  expect_kernel_matches_scalar("eu-band-plan", 32);
+  expect_campaign_matches_scalar("eu-band-plan");
 }
 
 TEST(ReplayKernel, DegradedCoverageStormMatchesScalar) {
-  expect_kernel_matches_scalar("degraded-coverage-storm", 32);
+  expect_campaign_matches_scalar("degraded-coverage-storm");
 }
 
 TEST(ReplayKernel, MatchesAcrossJobs) {
-  // Kernel on, jobs 1 vs 4: the batched path must stay independent of the
-  // worker count (the tsan-parallel preset runs this under ThreadSanitizer).
-  const scenario::ScenarioSpec spec = scenario::load_scenario("urban-loop");
-  const std::string jobs1 = campaign_bytes(spec, 16, true, 1);
-  const std::string jobs4 = campaign_bytes(spec, 16, true, 4);
-  EXPECT_TRUE(jobs1 == jobs4)
-      << "batched replay diverged between jobs=1 and jobs=4";
+  // Four workers must land on the same scalar bytes as one.
+  expect_campaign_matches_scalar("urban-loop", 4);
 }
+
+// App campaigns step their UEs by position only, so the cached mirrors
+// reach them through the position overload alone.
+class ReplayKernelApps : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ReplayKernelApps, AppCampaignMatchesScalar) {
+  const ScalarPins& pins = pins_for(GetParam());
+  apps::AppCampaign c(apps::AppCampaignConfig::from_scenario(
+      scenario::load_scenario(GetParam()), kAppStride));
+  EXPECT_EQ(dataset::fnv1a(dataset::encode(c.run())), pins.apps)
+      << "app campaign " << GetParam()
+      << " diverged from the scalar replay bytes";
+  for (ran::OperatorId op : ran::kAllOperators) {
+    EXPECT_EQ(dataset::fnv1a(dataset::encode(c.run_static_baseline(op))),
+              pins.app_statics[static_cast<std::size_t>(op)])
+        << "app campaign " << GetParam() << " static baseline "
+        << to_string(op);
+  }
+}
+
+std::vector<std::string> library_names() {
+  std::vector<std::string> names;
+  for (const scenario::ScenarioSpec& s : scenario::builtin_scenarios()) {
+    names.push_back(s.name);
+  }
+  return names;
+}
+
+std::string test_name(const ::testing::TestParamInfo<std::string>& param) {
+  std::string name = param.param;
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Library, ReplayKernel,
+                         ::testing::ValuesIn(library_names()), test_name);
+INSTANTIATE_TEST_SUITE_P(Library, ReplayKernelApps,
+                         ::testing::ValuesIn(library_names()), test_name);
 
 }  // namespace
 }  // namespace wheels::trip
