@@ -108,7 +108,8 @@ namespace detail {
 // figures stay bit-identical between runs. The metrics object comes from
 // the obs registry (print_header constructs the registry before this
 // clock, so the destructor ordering is safe); it reports how the time was
-// spent: simulate fan-out vs disk hits, and the per-phase breakdown.
+// spent: simulate fan-out vs disk hits, and the per-phase breakdown of the
+// measurement campaign and of the app campaign.
 struct BenchClock {
   std::string name;
   std::int64_t start_ns = 0;
@@ -133,12 +134,15 @@ struct BenchClock {
                  "{\"bench\": \"%s\", \"sim_ms\": %lld, \"jobs\": %d, "
                  "\"metrics\": {\"simulations\": %lld, \"disk_hits\": %lld, "
                  "\"record_ms\": %lld, \"replay_ms\": %lld, "
-                 "\"baseline_ms\": %lld}}\n",
+                 "\"baseline_ms\": %lld, \"app_record_ms\": %lld, "
+                 "\"app_replay_ms\": %lld, \"app_slots\": %lld}}\n",
                  name.c_str(), sim_ms, jobs, simulations,
                  value_of("dataset.provider.disk_hits"),
                  value_of("campaign.record_us") / 1000,
                  value_of("campaign.replay_us") / 1000,
-                 value_of("campaign.baseline_us") / 1000);
+                 value_of("campaign.baseline_us") / 1000,
+                 value_of("apps.record_us") / 1000,
+                 value_of("apps.replay_us") / 1000, value_of("apps.slots"));
   }
 };
 

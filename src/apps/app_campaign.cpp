@@ -1,17 +1,44 @@
 #include "apps/app_campaign.h"
 
 #include <cmath>
+#include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "apps/accuracy.h"
+#include "apps/link_env.h"
+#include "obs/clock.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "ran/scenario_profiles.h"
 #include "trip/region.h"
 #include "trip/route.h"
+#include "trip/trajectory.h"
 
 namespace wheels::apps {
 namespace {
 
 using radio::Tech;
 using ran::OperatorId;
+
+// Record and replay time are wall-clock; the replayed UE step count is a
+// pure function of the config. All are counted per segment, never per
+// slot.
+struct AppMetrics {
+  obs::Counter& record_us;
+  obs::Counter& replay_us;
+  obs::Counter& slots;
+};
+
+AppMetrics& app_metrics() {
+  // wheels-lint: allow(static-local)
+  static AppMetrics m{
+      obs::Registry::global().counter("apps.record_us", obs::Det::WallClock),
+      obs::Registry::global().counter("apps.replay_us", obs::Det::WallClock),
+      obs::Registry::global().counter("apps.slots", obs::Det::Stable),
+  };
+  return m;
+}
 
 std::vector<net::EdgeSite> edge_sites_from(const trip::Route& route) {
   std::vector<net::EdgeSite> sites;
@@ -33,6 +60,54 @@ void fill_offload(AppRunRecord& rec, const OffloadRunResult& r,
   rec.frac_high_speed_5g = r.frac_high_speed_5g;
   if (is_ar) {
     rec.map = run_map(r.e2e_ms, kArFrameInterval, compression);
+  }
+}
+
+// One operator's phone: its deployment and its UE. Not movable: the UE
+// holds references to the profile and the deployment.
+struct AppPhone {
+  ran::OperatorProfile profile;
+  ran::Deployment dep;
+  ran::UeSimulator ue;
+
+  AppPhone(const ran::OperatorProfile& profile_, const ran::Corridor& corridor,
+           Rng dep_rng, Rng ue_rng, const radio::BandPlan& plan,
+           ran::LoadRegime regime)
+      : profile(profile_),
+        dep(ran::Deployment::generate(corridor, profile, std::move(dep_rng))),
+        ue(corridor, dep, profile, std::move(ue_rng),
+           ran::TrafficProfile::Interactive, plan, regime) {}
+  AppPhone(const AppPhone&) = delete;
+  AppPhone& operator=(const AppPhone&) = delete;
+};
+
+// One app run of the round-robin cycle.
+struct AppWindow {
+  AppKind app = AppKind::Ar;
+  bool compression = false;
+  Millis duration{0.0};
+};
+
+// Gaps and fast-forwarded cycles: advance at the idle step while the
+// budget lasts and the trip is not done.
+void record_idle(std::vector<trip::TrajectoryPoint>& out,
+                 trip::TripSimulator& trip, const ran::Corridor& corridor,
+                 Millis duration) {
+  out.clear();
+  for (Millis el{0.0}; el.value < duration.value && !trip.finished();
+       el += trip::kIdleStep) {
+    out.push_back(trip::resolve(trip.advance(trip::kIdleStep), corridor));
+  }
+}
+
+// App windows: exactly `slots` app slots. Past the end of the route the
+// trip holds its last point and the app keeps stepping on it.
+void record_window(std::vector<trip::TrajectoryPoint>& out,
+                   trip::TripSimulator& trip, const ran::Corridor& corridor,
+                   std::size_t slots) {
+  out.clear();
+  for (std::size_t i = 0; i < slots; ++i) {
+    out.push_back(trip::resolve(trip.advance(kAppSlot), corridor));
   }
 }
 
@@ -61,6 +136,7 @@ AppCampaign::AppCampaign(AppCampaignConfig cfg) : cfg_(std::move(cfg)) {
 const AppCampaignResult& AppCampaign::run() {
   if (ran_) return result_;
   ran_ = true;
+  const obs::Span run_span("apps.run", "apps");
   AppCampaignResult& result = result_;
   const trip::Route route = trip::Route::from_spec(cfg_.spec.route);
   Rng rng(cfg_.seed);
@@ -82,120 +158,154 @@ const AppCampaignResult& AppCampaign::run() {
                         (mix.gaming ? 60'000.0 : 0.0) +
                         gap_count * cfg_.gap.value};
 
+  // The app runs of one cycle, in schedule order. Each is followed by a
+  // gap.
+  std::vector<AppWindow> windows;
+  for (const bool is_ar : {true, false}) {
+    if (is_ar ? !mix.ar : !mix.cav) continue;
+    for (const bool compression : {false, true}) {
+      const OffloadConfig cfg =
+          is_ar ? ar_config(compression) : cav_config(compression);
+      windows.push_back(
+          {is_ar ? AppKind::Ar : AppKind::Cav, compression, cfg.run_duration});
+    }
+  }
+  if (mix.video) {
+    windows.push_back({AppKind::Video, false, VideoConfig{}.run_duration});
+  }
+  if (mix.gaming) {
+    windows.push_back({AppKind::Gaming, false, GamingConfig{}.run_duration});
+  }
+
+  // The phones share the car: one trip drives the schedule, segment by
+  // segment, and every operator replays each recorded segment with its own
+  // UE and app streams. The trip's advance sequence is a pure function of
+  // the config, so this equals driving a trip per operator.
+  trip::TripSimulator trip(route, corridor, rng.fork("trip"), cfg_.drive);
+  std::vector<std::unique_ptr<AppPhone>> phones;
   for (OperatorId op : ran::kAllOperators) {
-    const auto oi = static_cast<std::size_t>(op);
-    const scenario::OperatorSpec& ospec = cfg_.spec.operators[oi];
-    const ran::OperatorProfile profile = ran::profile_from_spec(ospec, op);
-    const ran::Deployment dep = ran::Deployment::generate(
+    const scenario::OperatorSpec& ospec =
+        cfg_.spec.operators[static_cast<std::size_t>(op)];
+    phones.push_back(std::make_unique<AppPhone>(
+        ran::profile_from_spec(ospec, op), corridor,
         // wheels-rng: dynamic(one deployment stream per operator name)
-        corridor, profile, rng.fork(ospec.name));
-    // Same trip seed for every operator: the phones share the car.
-    trip::TripSimulator trip(route, corridor, rng.fork("trip"), cfg_.drive);
-    ran::UeSimulator ue(corridor, dep, profile,
-                        // wheels-rng: dynamic(per-operator UE stream)
-                        rng.fork(ospec.name).fork("app-ue"),
-                        ran::TrafficProfile::Interactive, cfg_.spec.bands,
-                        regime);
-    // wheels-rng: dynamic(per-operator app-session stream)
-    Rng app_rng = rng.fork(ospec.name).fork("apps");
+        rng.fork(ospec.name),
+        // wheels-rng: dynamic(per-operator UE stream)
+        rng.fork(ospec.name).fork("app-ue"), cfg_.spec.bands, regime));
+  }
+  AppMetrics& metrics = app_metrics();
+  std::vector<trip::TrajectoryPoint> points;  // the segment in flight
+  ran::SegmentBatch batch;  // per-chunk scratch, shared by the phones
 
-    LinkEnv env;
-    env.step = [&](Millis dt) {
-      const auto pt = trip.advance(dt);
-      return ue.step(pt.time, pt.position, pt.speed, dt);
-    };
-
-    auto gap = [&](Millis duration) {
-      ue.set_traffic(ran::TrafficProfile::Idle);
-      for (Millis el{0.0}; el.value < duration.value && !trip.finished();
-           el += Millis{100.0}) {
-        const auto pt = trip.advance(Millis{100.0});
-        ue.step(pt.time, pt.position, pt.speed, Millis{100.0});
+  const auto gap = [&](Millis duration) {
+    const std::int64_t record_start = obs::now_ns();
+    record_idle(points, trip, corridor, duration);
+    metrics.record_us.add(obs::elapsed_us(record_start));
+    const std::int64_t replay_start = obs::now_ns();
+    for (const auto& ph : phones) {
+      ph->ue.set_traffic(ran::TrafficProfile::Idle);
+      RecordedLink link(ph->ue, ph->dep, ph->profile, points,
+                        trip::kIdleStep, batch);
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        link.step(trip::kIdleStep);
       }
-      ue.set_traffic(ran::TrafficProfile::Interactive);
-    };
+      ph->ue.set_traffic(ran::TrafficProfile::Interactive);
+    }
+    metrics.replay_us.add(obs::elapsed_us(replay_start));
+    metrics.slots.add(phones.size() * points.size());
+  };
 
-    auto begin_record = [&](AppKind app, bool compression) {
-      AppRunRecord rec;
-      rec.app = app;
-      rec.compression = compression;
-      rec.op = op;
-      rec.start = trip.current().time;
-      rec.position = trip.current().position;
-      rec.tz = corridor.at(rec.position).tz;
-      const auto ep = servers.select(op, rec.position, rec.tz);
-      rec.server = ep.kind;
-      env.path_one_way = ep.one_way_delay;
-      return rec;
-    };
-
-    int cycle = 0;
-    while (!trip.finished()) {
-      if (cfg_.cycle_stride > 1 && (cycle % cfg_.cycle_stride) != 0) {
-        gap(skip_len);
-        ++cycle;
-        continue;
-      }
+  int cycle = 0;
+  while (!trip.finished()) {
+    if (cfg_.cycle_stride > 1 && (cycle % cfg_.cycle_stride) != 0) {
+      gap(skip_len);
       ++cycle;
+      continue;
+    }
+    ++cycle;
 
-      for (const bool is_ar : {true, false}) {
-        // Fork indices derive from (cycle, is_ar, compression), so
-        // disabling a family never renumbers the remaining streams.
-        if (is_ar ? !mix.ar : !mix.cav) continue;
-        for (const bool compression : {false, true}) {
-          if (trip.finished()) break;
-          auto rec = begin_record(is_ar ? AppKind::Ar : AppKind::Cav,
-                                  compression);
-          const std::size_t ho_base = ue.handovers().size();
-          const auto cfg = is_ar ? ar_config(compression)
-                                 : cav_config(compression);
-          // wheels-rng: dynamic(disjoint salt per cycle/app/compression)
-          const auto r = run_offload(cfg, env, app_rng.fork(cycle * 8 +
-                                                            (is_ar ? 0 : 2) +
-                                                            compression));
-          fill_offload(rec, r, is_ar, compression);
-          rec.handovers =
-              static_cast<int>(ue.handovers().size() - ho_base);
-          result.runs[oi].push_back(std::move(rec));
-          gap(cfg_.gap);
+    for (const AppWindow& w : windows) {
+      if (trip.finished()) break;
+      const trip::TripPoint start = trip.current();
+      const TimeZone tz = corridor.at(start.position).tz;
+      const std::int64_t record_start = obs::now_ns();
+      record_window(points, trip, corridor, slot_count(w.duration));
+      metrics.record_us.add(obs::elapsed_us(record_start));
+
+      const std::int64_t replay_start = obs::now_ns();
+      for (OperatorId op : ran::kAllOperators) {
+        const auto oi = static_cast<std::size_t>(op);
+        const scenario::OperatorSpec& ospec = cfg_.spec.operators[oi];
+        AppPhone& ph = *phones[oi];
+        // wheels-rng: dynamic(per-operator app-session stream)
+        const Rng app_rng = rng.fork(ospec.name).fork("apps");
+        AppRunRecord rec;
+        rec.app = w.app;
+        rec.compression = w.compression;
+        rec.op = op;
+        rec.start = start.time;
+        rec.position = start.position;
+        rec.tz = tz;
+        const auto ep = servers.select(op, rec.position, rec.tz);
+        rec.server = ep.kind;
+        const std::size_t ho_base = ph.ue.handovers().size();
+        RecordedLink link(ph.ue, ph.dep, ph.profile, points, kAppSlot, batch);
+        LinkEnv env = link.env(ep.one_way_delay);
+
+        switch (w.app) {
+          case AppKind::Ar:
+          case AppKind::Cav: {
+            // Fork indices derive from (cycle, is_ar, compression), so
+            // disabling a family never renumbers the remaining streams.
+            const bool is_ar = w.app == AppKind::Ar;
+            const bool compression = w.compression;
+            const auto cfg =
+                is_ar ? ar_config(compression) : cav_config(compression);
+            // wheels-rng: dynamic(disjoint salt per cycle/app/compression)
+            const auto r = run_offload(cfg, env, app_rng.fork(cycle * 8 +
+                                                              (is_ar ? 0 : 2) +
+                                                              compression));
+            fill_offload(rec, r, is_ar, compression);
+            break;
+          }
+          case AppKind::Video: {
+            const auto r = run_video(VideoConfig{}, env);
+            rec.qoe = r.avg_qoe;
+            rec.avg_bitrate_mbps = r.avg_bitrate_mbps;
+            rec.rebuffer_fraction = r.rebuffer_fraction;
+            rec.frac_high_speed_5g = r.frac_high_speed_5g;
+            break;
+          }
+          case AppKind::Gaming: {
+            const auto r =
+                // wheels-rng: dynamic(gaming slot 7 of the per-cycle salt block)
+                run_gaming(GamingConfig{}, env, app_rng.fork(cycle * 8 + 7));
+            rec.gaming_bitrate_mbps = r.median_bitrate_mbps;
+            rec.gaming_latency_ms = r.mean_latency_ms;
+            rec.frame_drop_rate = r.frame_drop_rate;
+            rec.frac_high_speed_5g = r.frac_high_speed_5g;
+            break;
+          }
         }
-      }
-
-      if (trip.finished()) break;
-      if (mix.video) {
-        auto rec = begin_record(AppKind::Video, false);
-        const std::size_t ho_base = ue.handovers().size();
-        const auto r = run_video(VideoConfig{}, env);
-        rec.qoe = r.avg_qoe;
-        rec.avg_bitrate_mbps = r.avg_bitrate_mbps;
-        rec.rebuffer_fraction = r.rebuffer_fraction;
-        rec.frac_high_speed_5g = r.frac_high_speed_5g;
-        rec.handovers = static_cast<int>(ue.handovers().size() - ho_base);
+        if (link.remaining() != 0) {
+          throw std::logic_error(std::string(to_string(w.app)) +
+                                 " run ended before its recorded window");
+        }
+        rec.handovers = static_cast<int>(ph.ue.handovers().size() - ho_base);
         result.runs[oi].push_back(std::move(rec));
-        gap(cfg_.gap);
       }
-
-      if (trip.finished()) break;
-      if (mix.gaming) {
-        auto rec = begin_record(AppKind::Gaming, false);
-        const std::size_t ho_base = ue.handovers().size();
-        const auto r =
-            // wheels-rng: dynamic(gaming slot 7 of the per-cycle salt block)
-            run_gaming(GamingConfig{}, env, app_rng.fork(cycle * 8 + 7));
-        rec.gaming_bitrate_mbps = r.median_bitrate_mbps;
-        rec.gaming_latency_ms = r.mean_latency_ms;
-        rec.frame_drop_rate = r.frame_drop_rate;
-        rec.frac_high_speed_5g = r.frac_high_speed_5g;
-        rec.handovers = static_cast<int>(ue.handovers().size() - ho_base);
-        result.runs[oi].push_back(std::move(rec));
-        gap(cfg_.gap);
-      }
+      metrics.replay_us.add(obs::elapsed_us(replay_start));
+      metrics.slots.add(phones.size() * points.size());
+      gap(cfg_.gap);
     }
   }
   return result;
 }
 
 std::vector<AppRunRecord> AppCampaign::run_static_baseline(OperatorId op) {
+  const scenario::OperatorSpec& ospec =
+      cfg_.spec.operators[static_cast<std::size_t>(op)];
+  const obs::Span baseline_span("apps.baseline." + ospec.name, "apps");
   std::vector<AppRunRecord> out;
   const trip::Route route = trip::Route::from_spec(cfg_.spec.route);
   Rng rng(cfg_.seed);
@@ -205,8 +315,6 @@ std::vector<AppRunRecord> AppCampaign::run_static_baseline(OperatorId op) {
   const ran::LoadRegime regime =
       ran::regime_from_spec(cfg_.spec.load_regime);
   const scenario::AppMixSpec& mix = cfg_.spec.apps;
-  const scenario::OperatorSpec& ospec =
-      cfg_.spec.operators[static_cast<std::size_t>(op)];
   const ran::OperatorProfile profile = ran::profile_from_spec(ospec, op);
   const ran::Deployment dep =
       // wheels-rng: dynamic(one deployment stream per operator name)

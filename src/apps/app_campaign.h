@@ -5,6 +5,11 @@
 // Cycle per operator: AR w/o compression, AR w/ compression, CAV w/o,
 // CAV w/ (20 s each), 360-video (180 s), cloud gaming (60 s), separated by
 // short gaps -- the study's round-robin of §3.
+//
+// One TripSimulator drives the schedule. Each segment (gap, fast-forwarded
+// cycle, app window) is recorded once and replayed by every operator's UE
+// through the segment-batch kernel (apps::RecordedLink); only one
+// segment's points are held at a time.
 #pragma once
 
 #include <array>
@@ -98,7 +103,9 @@ class AppCampaign {
 
   // Run the driving campaign for all three operators (idempotent: the
   // first call simulates, later calls return the same result). The
-  // reference stays valid for the lifetime of the AppCampaign.
+  // reference stays valid for the lifetime of the AppCampaign. Reports the
+  // apps.record_us / apps.replay_us / apps.slots obs counters and an
+  // apps.run span.
   const AppCampaignResult& run();
 
   // Best-static baselines: several runs next to the best high-speed-5G

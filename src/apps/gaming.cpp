@@ -10,7 +10,7 @@
 namespace wheels::apps {
 
 GamingRunResult run_gaming(const GamingConfig& cfg, LinkEnv& env, Rng rng) {
-  const Millis slot{10.0};
+  const Millis slot = kAppSlot;
   GamingRunResult out;
 
   double capacity_est = 20.0;  // Mbps, warm start

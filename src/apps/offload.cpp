@@ -35,7 +35,7 @@ OffloadConfig cav_config(bool use_compression) {
 
 OffloadRunResult run_offload(const OffloadConfig& cfg, LinkEnv& env,
                              Rng rng) {
-  const Millis slot{10.0};
+  const Millis slot = kAppSlot;
   const double frame_kb =
       cfg.use_compression ? cfg.frame_compressed_kb : cfg.frame_raw_kb;
 

@@ -25,7 +25,7 @@ double bba_bitrate(const VideoConfig& cfg, double buffer_s) {
 }
 
 VideoRunResult run_video(const VideoConfig& cfg, LinkEnv& env) {
-  const Millis slot{10.0};
+  const Millis slot = kAppSlot;
   VideoRunResult out;
 
   double buffer_s = 0.0;

@@ -21,6 +21,11 @@ std::int64_t now_ns() {
   return monotonic_now_ns();
 }
 
+std::uint64_t elapsed_us(std::int64_t start_ns) {
+  const std::int64_t d = now_ns() - start_ns;
+  return d > 0 ? static_cast<std::uint64_t>(d) / 1000 : 0;
+}
+
 void set_clock_for_testing(ClockFn fn) {
   g_clock.store(fn, std::memory_order_relaxed);
 }

@@ -21,6 +21,10 @@ using ClockFn = std::int64_t (*)();
 // Nanoseconds from the process monotonic clock (or the test override).
 [[nodiscard]] std::int64_t now_ns();
 
+// Whole microseconds elapsed since `start_ns` (a now_ns() reading); 0 if
+// the clock has not moved forward.
+[[nodiscard]] std::uint64_t elapsed_us(std::int64_t start_ns);
+
 // Override the timestamp source (nullptr restores the real monotonic
 // clock). Test-only: swapping clocks while spans are open mixes origins.
 void set_clock_for_testing(ClockFn fn);

@@ -92,7 +92,9 @@ class UeSimulator {
   // at simulated time `now`; `dt` is the elapsed time since the previous
   // step and `speed` the current vehicle speed. Geometry comes from
   // Corridor/Deployment lookups: the input for callers without a recorded
-  // trajectory (app campaigns, static baselines).
+  // trajectory (the static baselines' stationary UEs, and tests). Both
+  // campaign engines replay recorded trajectories through the batched
+  // overload below.
   LinkSample step(SimTime now, Meters pos, Mph speed, Millis dt);
 
   // Trajectory replay. begin_segment() prefetches the per-layer shadowing

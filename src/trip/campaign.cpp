@@ -45,11 +45,6 @@ CampaignMetrics& campaign_metrics() {
   return m;
 }
 
-std::uint64_t elapsed_us(std::int64_t start_ns) {
-  const std::int64_t d = obs::now_ns() - start_ns;
-  return d > 0 ? static_cast<std::uint64_t>(d) / 1000 : 0;
-}
-
 std::vector<net::EdgeSite> edge_sites_from(const Route& route) {
   std::vector<net::EdgeSite> sites;
   for (const auto& c : route.cities()) {
@@ -415,7 +410,7 @@ const CampaignResult& Campaign::run() {
     const obs::Span span("campaign.record");
     return record_trajectory(trip_, corridor_, cfg_);
   }();
-  campaign_metrics().record_us.add(elapsed_us(record_start));
+  campaign_metrics().record_us.add(obs::elapsed_us(record_start));
 
   const std::int64_t replay_start = obs::now_ns();
   parallel_for_each(jobs_, phones_.size(), [&](std::size_t i) {
@@ -424,7 +419,7 @@ const CampaignResult& Campaign::run() {
     const obs::Span span(span_name);
     replay_operator(*phones_[i], traj);
   });
-  campaign_metrics().replay_us.add(elapsed_us(replay_start));
+  campaign_metrics().replay_us.add(obs::elapsed_us(replay_start));
 
   for (auto& ph : phones_) {
     const auto i = static_cast<std::size_t>(ph->op);
@@ -565,7 +560,7 @@ StaticBaseline Campaign::run_static_baseline(OperatorId op) {
                             cr.ul.end());
     out.rtt_ms.insert(out.rtt_ms.end(), cr.rtt.begin(), cr.rtt.end());
   }
-  campaign_metrics().baseline_us.add(elapsed_us(baseline_start));
+  campaign_metrics().baseline_us.add(obs::elapsed_us(baseline_start));
   return out;
 }
 

@@ -28,24 +28,32 @@ KernelMetrics& kernel_metrics() {
 
 }  // namespace
 
-void prepare_segment_batch(const Trajectory& traj, const TrajectorySegment& seg,
-                           const ran::Deployment& dep,
-                           const ran::OperatorProfile& profile,
-                           ran::SegmentBatch& batch) {
-  const std::int64_t start_ns = obs::now_ns();
-  const std::size_t n = seg.end - seg.begin;
+void fill_segment_batch(std::span<const TrajectoryPoint> points,
+                        const ran::Deployment& dep,
+                        const ran::OperatorProfile& profile,
+                        ran::SegmentBatch& batch) {
+  const std::size_t n = points.size();
   batch.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const TrajectoryPoint& pt = traj.points[seg.begin + i];
+    const TrajectoryPoint& pt = points[i];
     batch.pos_m[i] = pt.position.value;
     batch.speed_mph[i] = pt.speed.value;
     batch.env[i] = pt.env;
     batch.tz[i] = pt.tz;
   }
   ran::fill_nearest_cells(dep, profile, batch);
+}
+
+void prepare_segment_batch(const Trajectory& traj, const TrajectorySegment& seg,
+                           const ran::Deployment& dep,
+                           const ran::OperatorProfile& profile,
+                           ran::SegmentBatch& batch) {
+  const std::int64_t start_ns = obs::now_ns();
+  const std::size_t n = seg.end - seg.begin;
+  fill_segment_batch(std::span(traj.points).subspan(seg.begin, n), dep,
+                     profile, batch);
   KernelMetrics& m = kernel_metrics();
-  const std::int64_t d = obs::now_ns() - start_ns;
-  m.batch_us.add(d > 0 ? static_cast<std::uint64_t>(d) / 1000 : 0);
+  m.batch_us.add(obs::elapsed_us(start_ns));
   m.slots.add(n);
 }
 

@@ -1,5 +1,5 @@
 // Batched structure-of-arrays replay: per-segment scratch and batch
-// preparation for the campaign engine.
+// preparation for the campaign and app-campaign engines.
 //
 // Every trajectory segment replays through prepare_segment_batch(), which
 // extracts the SoA columns (position, speed, pre-resolved
@@ -7,10 +7,11 @@
 // fills the per-layer nearest-cell columns with one monotone sweep
 // (ran::fill_nearest_cells). UEs then consume the batch via
 // ran::UeSimulator::begin_segment + the batched step overload. This is the
-// campaign's only replay path; tests/test_replay_kernel.cpp pins it to
-// per-position UE stepping.
+// only replay path of both campaign engines; tests/test_replay_kernel.cpp
+// pins it to per-position UE stepping.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ran/deployment.h"
@@ -28,8 +29,14 @@ struct ReplayScratch {
   std::vector<double> rtts;
 };
 
-// Fill `batch` with the SoA view of `seg` (geometry from the recorded
-// points, candidate cells from one sweep over `dep`). Timed into the
+// Fill `batch` with the SoA view of `points` (geometry from the recorded
+// points, candidate cells from one sweep over `dep`). Untimed.
+void fill_segment_batch(std::span<const TrajectoryPoint> points,
+                        const ran::Deployment& dep,
+                        const ran::OperatorProfile& profile,
+                        ran::SegmentBatch& batch);
+
+// fill_segment_batch over the points of `seg`, timed into the
 // campaign.kernel.* obs counters.
 void prepare_segment_batch(const Trajectory& traj, const TrajectorySegment& seg,
                            const ran::Deployment& dep,

@@ -3,12 +3,13 @@
 #include "trip/campaign.h"
 
 namespace wheels::trip {
-namespace {
 
 TrajectoryPoint resolve(const TripPoint& pt, const ran::Corridor& corridor) {
   const auto& seg = corridor.at(pt.position);
   return {pt.time, pt.position, pt.speed, pt.day, seg.tz, seg.env};
 }
+
+namespace {
 
 // Mirrors the sequential runner's per-segment loop shape exactly: sample the
 // start state, then advance while the budget lasts and the trip is not done.

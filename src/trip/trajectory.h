@@ -89,6 +89,10 @@ struct Trajectory {
   friend bool operator==(const Trajectory&, const Trajectory&) = default;
 };
 
+// `pt` with its corridor context (timezone, environment) resolved.
+[[nodiscard]] TrajectoryPoint resolve(const TripPoint& pt,
+                                      const ran::Corridor& corridor);
+
 // The coarse step used while idling between tests (gaps, fast-forward).
 inline constexpr Millis kIdleStep{100.0};
 

@@ -13,19 +13,25 @@
 // static baselines and app campaigns of every library scenario must
 // reproduce the checksums the scalar radio:: chain produced before the
 // mirrors became the only path (the paper-default campaign's is the
-// golden seed-42 stride-64 checksum).
+// golden seed-42 stride-64 checksum). App campaigns replay through the
+// batch too; two short routes whose drive ends inside an app window and
+// inside a gap pin the bytes the per-operator position-stepping engine
+// produced.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <tuple>
 #include <vector>
 
 #include "apps/app_campaign.h"
+#include "apps/link_env.h"
 #include "contract_pins.h"
 #include "dataset/serialize.h"
+#include "obs/metrics.h"
 #include "radio/band.h"
 #include "radio/kernel.h"
 #include "radio/mcs.h"
@@ -37,7 +43,9 @@
 #include "ran/ue.h"
 #include "scenario/spec.h"
 #include "trip/campaign.h"
+#include "trip/region.h"
 #include "trip/replay_kernel.h"
+#include "trip/route.h"
 #include "trip/trajectory.h"
 
 namespace wheels::radio {
@@ -308,8 +316,10 @@ TEST(ReplayKernel, MatchesAcrossJobs) {
   expect_campaign_matches_scalar("urban-loop", 4);
 }
 
-// App campaigns step their UEs by position only, so the cached mirrors
-// reach them through the position overload alone.
+// App campaigns record each schedule segment once and replay it per
+// operator through the batch (apps::RecordedLink); their bytes must still
+// be the ones the scalar chain produced when every operator re-drove the
+// trip and stepped its UE by position.
 class ReplayKernelApps : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ReplayKernelApps, AppCampaignMatchesScalar) {
@@ -325,6 +335,153 @@ TEST_P(ReplayKernelApps, AppCampaignMatchesScalar) {
         << "app campaign " << GetParam() << " static baseline "
         << to_string(op);
   }
+}
+
+// A short Los Angeles route, paper-default otherwise: the drive lasts a
+// few cycles and ends wherever `end_lon` puts the end of the route.
+scenario::ScenarioSpec short_route(double end_lon) {
+  scenario::ScenarioSpec s = scenario::paper_default();
+  s.name = "short-route";
+  s.route.waypoints = {{"Los Angeles", 34.05, -118.24, true},
+                       {"East Los Angeles", 34.05, end_lon, false}};
+  return s;
+}
+
+// Ends inside the gap after the third cycle's gaming run.
+constexpr double kEndsInGapLon = -118.202;
+// Ends inside the fourth cycle's 180 s video run.
+constexpr double kEndsInWindowLon = -118.195;
+
+// Where a stride-1, full-mix app schedule runs out of route, walked with
+// a TripSimulator of its own: the slots the app campaign must record, the
+// app runs started, and whether the trip finished inside an app window
+// (the app then keeps stepping on the last point) or inside a gap (the gap
+// stops early).
+struct ScheduleWalk {
+  std::size_t slots = 0;
+  std::size_t runs = 0;
+  bool ended_in_window = false;
+  bool ended_in_gap = false;
+};
+
+ScheduleWalk walk_app_schedule(const apps::AppCampaignConfig& cfg) {
+  const Route route = Route::from_spec(cfg.spec.route);
+  const Rng rng(cfg.seed);
+  const ran::Corridor corridor = build_corridor(route, rng.fork("corridor"));
+  TripSimulator trip(route, corridor, rng.fork("trip"), cfg.drive);
+  // AR and CAV without and with compression, 360-video, cloud gaming.
+  const std::array<Millis, 6> windows = {
+      Millis{20'000.0}, Millis{20'000.0},  Millis{20'000.0},
+      Millis{20'000.0}, Millis{180'000.0}, Millis{60'000.0}};
+  ScheduleWalk walk;
+  while (!trip.finished()) {
+    for (const Millis duration : windows) {
+      if (trip.finished()) break;
+      ++walk.runs;
+      const std::size_t n = apps::slot_count(duration);
+      for (std::size_t i = 0; i < n; ++i) {
+        trip.advance(apps::kAppSlot);
+        ++walk.slots;
+        if (trip.finished() && i + 1 < n) walk.ended_in_window = true;
+      }
+      for (Millis el{0.0}; el.value < cfg.gap.value && !trip.finished();
+           el += kIdleStep) {
+        trip.advance(kIdleStep);
+        ++walk.slots;
+        if (trip.finished() && el.value + kIdleStep.value < cfg.gap.value) {
+          walk.ended_in_gap = true;
+        }
+      }
+    }
+  }
+  return walk;
+}
+
+std::int64_t apps_slots_counter() {
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  const obs::MetricValue* mv = snap.find("apps.slots");
+  return mv != nullptr ? mv->value : 0;
+}
+
+// Runs the short-route app campaign at stride 1 and checks it against the
+// schedule walk and the checksum the per-operator position-stepping engine
+// produced for it.
+void expect_short_route_matches_parent(double end_lon, std::uint64_t pin,
+                                       bool ends_in_window) {
+  const apps::AppCampaignConfig cfg =
+      apps::AppCampaignConfig::from_scenario(short_route(end_lon), 1);
+  const ScheduleWalk walk = walk_app_schedule(cfg);
+  ASSERT_EQ(walk.ended_in_window, ends_in_window);
+  ASSERT_EQ(walk.ended_in_gap, !ends_in_window);
+
+  apps::AppCampaign c(cfg);
+  const std::int64_t before = apps_slots_counter();
+  const apps::AppCampaignResult& result = c.run();
+  // Every recorded slot is replayed once per operator: past the end of
+  // the route the app keeps stepping, the gap stops.
+  EXPECT_EQ(apps_slots_counter() - before,
+            static_cast<std::int64_t>(3 * walk.slots));
+  for (ran::OperatorId op : ran::kAllOperators) {
+    EXPECT_EQ(result.for_op(op).size(), walk.runs) << to_string(op);
+  }
+  EXPECT_EQ(dataset::fnv1a(dataset::encode(result)), pin)
+      << "short-route app campaign (end lon " << end_lon
+      << ") diverged from the position-stepping bytes";
+}
+
+TEST(ReplayKernelApps, RouteEndsInsideAppWindowMatchesParent) {
+  expect_short_route_matches_parent(kEndsInWindowLon, 0x61668ef568e1c0d9ULL,
+                                    /*ends_in_window=*/true);
+}
+
+TEST(ReplayKernelApps, RouteEndsInsideGapMatchesParent) {
+  expect_short_route_matches_parent(kEndsInGapLon, 0x6230b02257a9265cULL,
+                                    /*ends_in_window=*/false);
+}
+
+TEST(ReplayKernelApps, SlotsCounterIsStable) {
+  // apps.slots is Det::Stable: two runs of one config replay the same
+  // number of UE steps, three per recorded slot.
+  const apps::AppCampaignConfig cfg =
+      apps::AppCampaignConfig::from_scenario(short_route(kEndsInGapLon), 1);
+  std::array<std::int64_t, 2> slots{};
+  for (std::int64_t& n : slots) {
+    apps::AppCampaign c(cfg);
+    const std::int64_t before = apps_slots_counter();
+    (void)c.run();
+    n = apps_slots_counter() - before;
+  }
+  EXPECT_EQ(slots[0], slots[1]);
+  EXPECT_EQ(slots[0],
+            static_cast<std::int64_t>(3 * walk_app_schedule(cfg).slots));
+}
+
+TEST(ReplayKernelApps, RecordedLinkThrowsPastItsWindow) {
+  const scenario::ScenarioSpec spec = short_route(kEndsInGapLon);
+  const Route route = Route::from_spec(spec.route);
+  const Rng rng(spec.seed);
+  const ran::Corridor corridor = build_corridor(route, rng.fork("corridor"));
+  const ran::OperatorProfile profile =
+      ran::profile_from_spec(spec.operators[0], ran::OperatorId::Verizon);
+  const ran::Deployment dep =
+      ran::Deployment::generate(corridor, profile, rng.fork("deployment"));
+  ran::UeSimulator ue(corridor, dep, profile, rng.fork("ue"),
+                      ran::TrafficProfile::Interactive, spec.bands);
+  TripSimulator trip(route, corridor, rng.fork("trip"));
+  std::vector<TrajectoryPoint> window;
+  for (int i = 0; i < 3; ++i) {
+    window.push_back(resolve(trip.advance(apps::kAppSlot), corridor));
+  }
+  ran::SegmentBatch batch;
+  apps::RecordedLink link(ue, dep, profile, window, apps::kAppSlot, batch);
+  apps::LinkEnv env = link.env(Millis{12.0});
+  EXPECT_THROW((void)env.step(Millis{20.0}), std::logic_error)
+      << "a dt other than the recorded slot";
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_NO_THROW((void)env.step(apps::kAppSlot));
+  }
+  EXPECT_EQ(link.remaining(), 0U);
+  EXPECT_THROW((void)env.step(apps::kAppSlot), std::logic_error);
 }
 
 std::vector<std::string> library_names() {
