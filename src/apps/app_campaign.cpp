@@ -1,12 +1,16 @@
 #include "apps/app_campaign.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "apps/accuracy.h"
 #include "apps/link_env.h"
+#include "core/thread_pool.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -63,12 +67,14 @@ void fill_offload(AppRunRecord& rec, const OffloadRunResult& r,
   }
 }
 
-// One operator's phone: its deployment and its UE. Not movable: the UE
+// One operator's phone: its deployment, its UE and its own batch scratch,
+// so the phones can replay a segment concurrently. Not movable: the UE
 // holds references to the profile and the deployment.
 struct AppPhone {
   ran::OperatorProfile profile;
   ran::Deployment dep;
   ran::UeSimulator ue;
+  ran::SegmentBatch batch;
 
   AppPhone(const ran::OperatorProfile& profile_, const ran::Corridor& corridor,
            Rng dep_rng, Rng ue_rng, const radio::BandPlan& plan,
@@ -129,15 +135,23 @@ AppCampaignConfig AppCampaignConfig::from_scenario(
   return cfg;
 }
 
-AppCampaign::AppCampaign(AppCampaignConfig cfg) : cfg_(std::move(cfg)) {
+AppCampaign::AppCampaign(AppCampaignConfig cfg)
+    : cfg_(std::move(cfg)),
+      jobs_(resolve_jobs(0, static_cast<int>(ran::kAllOperators.size()))) {
   scenario::validate(cfg_.spec);
 }
 
+void AppCampaign::set_jobs(int jobs) {
+  jobs_ = resolve_jobs(jobs, static_cast<int>(ran::kAllOperators.size()));
+}
+
 const AppCampaignResult& AppCampaign::run() {
+  const std::lock_guard<std::mutex> lock(run_mu_);
   if (ran_) return result_;
-  ran_ = true;
   const obs::Span run_span("apps.run", "apps");
-  AppCampaignResult& result = result_;
+  // Filled locally and published only on success: a throw leaves result_
+  // empty and ran_ false.
+  AppCampaignResult result;
   const trip::Route route = trip::Route::from_spec(cfg_.spec.route);
   Rng rng(cfg_.seed);
   const ran::Corridor corridor =
@@ -195,24 +209,48 @@ const AppCampaignResult& AppCampaign::run() {
   }
   AppMetrics& metrics = app_metrics();
   std::vector<trip::TrajectoryPoint> points;  // the segment in flight
-  ran::SegmentBatch batch;  // per-chunk scratch, shared by the phones
+
+  // The segment in flight is replayed by every phone, one task per phone
+  // on a pool that lives for the whole run (none at jobs 1). fn(oi) reads
+  // the shared recording and touches only phone oi and result.runs[oi];
+  // the next segment is recorded once all of them are done. A segment is
+  // fanned out only while at least two cores are free of other pool tasks:
+  // inside other parallel work that already fills the cores (a provider or
+  // a benchmark simulating several datasets at once) the fan-out gains no
+  // core, and its extra threads and per-segment barrier only slow
+  // everything down.
+  std::optional<ThreadPool> pool;
+  if (jobs_ > 1) {
+    pool.emplace(static_cast<int>(
+        std::min(static_cast<std::size_t>(jobs_), phones.size())));
+  }
+  const int cores =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const auto replay = [&](const auto& fn) {
+    const std::int64_t replay_start = obs::now_ns();
+    if (pool && cores - busy_pool_workers() >= 2) {
+      parallel_for_each(*pool, phones.size(), fn);
+    } else {
+      for (std::size_t oi = 0; oi < phones.size(); ++oi) fn(oi);
+    }
+    metrics.replay_us.add(obs::elapsed_us(replay_start));
+    metrics.slots.add(phones.size() * points.size());
+  };
 
   const auto gap = [&](Millis duration) {
     const std::int64_t record_start = obs::now_ns();
     record_idle(points, trip, corridor, duration);
     metrics.record_us.add(obs::elapsed_us(record_start));
-    const std::int64_t replay_start = obs::now_ns();
-    for (const auto& ph : phones) {
-      ph->ue.set_traffic(ran::TrafficProfile::Idle);
-      RecordedLink link(ph->ue, ph->dep, ph->profile, points,
-                        trip::kIdleStep, batch);
+    replay([&](std::size_t oi) {
+      AppPhone& ph = *phones[oi];
+      ph.ue.set_traffic(ran::TrafficProfile::Idle);
+      RecordedLink link(ph.ue, ph.dep, ph.profile, points, trip::kIdleStep,
+                        ph.batch);
       for (std::size_t i = 0; i < points.size(); ++i) {
         link.step(trip::kIdleStep);
       }
-      ph->ue.set_traffic(ran::TrafficProfile::Interactive);
-    }
-    metrics.replay_us.add(obs::elapsed_us(replay_start));
-    metrics.slots.add(phones.size() * points.size());
+      ph.ue.set_traffic(ran::TrafficProfile::Interactive);
+    });
   };
 
   int cycle = 0;
@@ -232,9 +270,8 @@ const AppCampaignResult& AppCampaign::run() {
       record_window(points, trip, corridor, slot_count(w.duration));
       metrics.record_us.add(obs::elapsed_us(record_start));
 
-      const std::int64_t replay_start = obs::now_ns();
-      for (OperatorId op : ran::kAllOperators) {
-        const auto oi = static_cast<std::size_t>(op);
+      const auto run_app = [&](std::size_t oi) {
+        const OperatorId op = ran::kAllOperators[oi];
         const scenario::OperatorSpec& ospec = cfg_.spec.operators[oi];
         AppPhone& ph = *phones[oi];
         // wheels-rng: dynamic(per-operator app-session stream)
@@ -249,7 +286,8 @@ const AppCampaignResult& AppCampaign::run() {
         const auto ep = servers.select(op, rec.position, rec.tz);
         rec.server = ep.kind;
         const std::size_t ho_base = ph.ue.handovers().size();
-        RecordedLink link(ph.ue, ph.dep, ph.profile, points, kAppSlot, batch);
+        RecordedLink link(ph.ue, ph.dep, ph.profile, points, kAppSlot,
+                          ph.batch);
         LinkEnv env = link.env(ep.one_way_delay);
 
         switch (w.app) {
@@ -293,13 +331,14 @@ const AppCampaignResult& AppCampaign::run() {
         }
         rec.handovers = static_cast<int>(ph.ue.handovers().size() - ho_base);
         result.runs[oi].push_back(std::move(rec));
-      }
-      metrics.replay_us.add(obs::elapsed_us(replay_start));
-      metrics.slots.add(phones.size() * points.size());
+      };
+      replay(run_app);
       gap(cfg_.gap);
     }
   }
-  return result;
+  result_ = std::move(result);
+  ran_ = true;
+  return result_;
 }
 
 std::vector<AppRunRecord> AppCampaign::run_static_baseline(OperatorId op) {

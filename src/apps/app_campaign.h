@@ -8,12 +8,14 @@
 //
 // One TripSimulator drives the schedule. Each segment (gap, fast-forwarded
 // cycle, app window) is recorded once and replayed by every operator's UE
-// through the segment-batch kernel (apps::RecordedLink); only one
-// segment's points are held at a time.
+// through the segment-batch kernel (apps::RecordedLink), the three phones
+// concurrently on one thread pool while cores are free; only one segment's
+// points are held at a time.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "apps/gaming.h"
@@ -101,12 +103,23 @@ class AppCampaign {
  public:
   explicit AppCampaign(AppCampaignConfig cfg = AppCampaignConfig{});
 
-  // Run the driving campaign for all three operators (idempotent: the
-  // first call simulates, later calls return the same result). The
-  // reference stays valid for the lifetime of the AppCampaign. Reports the
-  // apps.record_us / apps.replay_us / apps.slots obs counters and an
-  // apps.run span.
+  // Run the driving campaign for all three operators (idempotent and
+  // thread-safe: the first successful call simulates, later calls return
+  // the same result; a call that throws leaves nothing behind, so the next
+  // one simulates again). The reference stays valid for the lifetime of
+  // the AppCampaign. Reports the apps.record_us / apps.replay_us /
+  // apps.slots obs counters and an apps.run span.
   const AppCampaignResult& run();
+
+  // Worker threads for run(): each recorded segment is replayed by the
+  // three phones as three tasks on one pool that lives for the run. jobs
+  // <= 0 resolves WHEELS_JOBS, otherwise one worker per operator; at most
+  // three threads are started whatever the value, and jobs == 1 replays
+  // inline with no thread at all. A segment is replayed inline as well
+  // while other pool tasks in the process (busy_pool_workers()) leave
+  // fewer than two cores free. The result is identical for every value.
+  void set_jobs(int jobs);
+  [[nodiscard]] int jobs() const { return jobs_; }
 
   // Best-static baselines: several runs next to the best high-speed-5G
   // site of each major city; the study quotes the best run.
@@ -114,6 +127,8 @@ class AppCampaign {
 
  private:
   AppCampaignConfig cfg_;
+  int jobs_ = 1;
+  std::mutex run_mu_;
   AppCampaignResult result_;
   bool ran_ = false;
 };

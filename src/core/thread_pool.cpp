@@ -10,6 +10,11 @@ namespace {
 
 std::atomic<const ThreadPoolHooks*> g_hooks{nullptr};
 
+// Tasks running on the workers of every pool in the process, and whether
+// the current thread is one of them.
+std::atomic<int> g_busy_workers{0};
+thread_local bool t_running_task = false;
+
 }  // namespace
 
 void set_thread_pool_hooks(const ThreadPoolHooks* hooks) {
@@ -20,18 +25,23 @@ const ThreadPoolHooks* thread_pool_hooks() {
   return g_hooks.load(std::memory_order_acquire);
 }
 
-int resolve_jobs(int requested) {
+int busy_pool_workers() {
+  return g_busy_workers.load(std::memory_order_relaxed) -
+         (t_running_task ? 1 : 0);
+}
+
+int resolve_jobs(int requested, int unset) {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const int cap = static_cast<int>(4u * hw);
   int jobs = requested;
   if (jobs < 1) {
-    jobs = 1;
+    jobs = unset;
     if (const char* env = std::getenv("WHEELS_JOBS")) {
       errno = 0;
       char* end = nullptr;
       const long v = std::strtol(env, &end, 10);
-      // A malformed WHEELS_JOBS falls back to sequential rather than
-      // guessing: parallelism is an optimization, never a requirement.
+      // A malformed WHEELS_JOBS falls back to the caller's default rather
+      // than guessing: parallelism is an optimization, never a requirement.
       if (errno == 0 && end != env && *end == '\0' && v >= 1) {
         jobs = static_cast<int>(std::min<long>(v, cap));
       }
@@ -82,7 +92,11 @@ void ThreadPool::worker_loop() {
     const ThreadPoolHooks* hooks = thread_pool_hooks();
     if (hooks != nullptr && hooks->on_task_begin != nullptr)
       hooks->on_task_begin();
-    task();
+    g_busy_workers.fetch_add(1, std::memory_order_relaxed);
+    t_running_task = true;
+    task();  // a packaged_task: exceptions land in its future
+    t_running_task = false;
+    g_busy_workers.fetch_sub(1, std::memory_order_relaxed);
     if (hooks != nullptr && hooks->on_task_end != nullptr) hooks->on_task_end();
   }
 }

@@ -8,8 +8,10 @@
 // parallel_for_each() that propagates the first exception in index order.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -39,10 +41,16 @@ void set_thread_pool_hooks(const ThreadPoolHooks* hooks);
 [[nodiscard]] const ThreadPoolHooks* thread_pool_hooks();
 
 // Resolve a worker count: `requested` >= 1 wins, otherwise the WHEELS_JOBS
-// environment variable, otherwise 1 (fully sequential). The result is
-// clamped to [1, 4 * hardware_concurrency] so a stray env value cannot
-// oversubscribe the machine into thrashing.
-[[nodiscard]] int resolve_jobs(int requested = 0);
+// environment variable, otherwise `unset` (1 by default: fully sequential).
+// A malformed WHEELS_JOBS counts as unset. The result is clamped to
+// [1, 4 * hardware_concurrency] so a stray env value cannot oversubscribe
+// the machine into thrashing.
+[[nodiscard]] int resolve_jobs(int requested = 0, int unset = 1);
+
+// Workers of any ThreadPool in the process that are running a task right
+// now, not counting the calling thread. A fan-out nested in other parallel
+// work reads it to use only cores that no pool task is using.
+[[nodiscard]] int busy_pool_workers();
 
 class ThreadPool {
  public:
@@ -80,19 +88,12 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-// Run fn(0), ..., fn(count - 1) across `jobs` workers and wait for all of
-// them. jobs <= 1 (or count <= 1) executes inline on the calling thread
-// with no pool at all, so the sequential path stays thread-free. Futures
-// are drained in index order, which makes exception propagation
+// Run fn(0), ..., fn(count - 1) on `pool` and wait for all of them.
+// Futures are drained in index order, which makes exception propagation
 // deterministic: the first throwing index wins regardless of scheduling.
+// Must not be called from one of `pool`'s own workers.
 template <typename Fn>
-void parallel_for_each(int jobs, std::size_t count, Fn&& fn) {
-  if (jobs <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  ThreadPool pool(static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(jobs), count)));
+void parallel_for_each(ThreadPool& pool, std::size_t count, Fn&& fn) {
   std::vector<std::future<void>> pending;
   pending.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -107,6 +108,20 @@ void parallel_for_each(int jobs, std::size_t count, Fn&& fn) {
     }
   }
   if (first_error) std::rethrow_exception(first_error);
+}
+
+// The same across `jobs` workers on a pool of its own. jobs <= 1 (or
+// count <= 1) executes inline on the calling thread with no pool at all,
+// so the sequential path stays thread-free.
+template <typename Fn>
+void parallel_for_each(int jobs, std::size_t count, Fn&& fn) {
+  if (jobs <= 1 || count <= 1) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  ThreadPool pool(static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(jobs), count)));
+  parallel_for_each(pool, count, fn);
 }
 
 }  // namespace wheels

@@ -59,13 +59,15 @@ CampaignProvider::CampaignProvider(ProviderOptions opts)
       use_cache_(opts.use_cache && !cache_disabled_by_env()),
       verbose_(opts.verbose),
       memoize_(opts.memoize),
-      jobs_(resolve_jobs(opts.jobs)) {}
+      jobs_(resolve_jobs(opts.jobs)),
+      app_jobs_(opts.jobs >= 1 ? jobs_ : 0) {}
 
 CampaignProvider::~CampaignProvider() = default;
 
 void CampaignProvider::set_jobs(int jobs) {
   const std::lock_guard<std::mutex> lock(mu_);
   jobs_ = resolve_jobs(jobs);
+  app_jobs_ = jobs >= 1 ? jobs_ : 0;
   for (auto& [fp, campaign] : campaigns_) campaign->set_jobs(jobs_);
 }
 
@@ -237,6 +239,10 @@ std::shared_ptr<const apps::AppCampaignResult> CampaignProvider::resolve_apps(
       app_results_, app_result_flights_, DatasetKind::AppCampaign, fp, 0,
       ran::OperatorId::Verizon, SimKind::Campaign, [&] {
         apps::AppCampaign campaign(cfg);
+        {
+          const std::lock_guard<std::mutex> lock(mu_);
+          if (app_jobs_ >= 1) campaign.set_jobs(app_jobs_);
+        }
         return std::make_shared<apps::AppCampaignResult>(campaign.run());
       });
 }

@@ -48,8 +48,11 @@ struct ProviderOptions {
   // where it matters.
   bool verbose = false;
   // Worker threads handed to every Campaign this provider builds (replay
-  // and per-city baseline fan-out). <= 0 resolves from WHEELS_JOBS. Never
-  // part of the fingerprint: jobs changes wall-clock, not bytes.
+  // and per-city baseline fan-out). <= 0 resolves from WHEELS_JOBS. A
+  // value >= 1 is also handed to every AppCampaign; <= 0 leaves app
+  // campaigns at their own default (WHEELS_JOBS, else one worker per
+  // operator). Never part of the fingerprint: jobs changes wall-clock, not
+  // bytes.
   int jobs = 0;
   // Pin every resolved dataset in the process-lifetime memo. The
   // figure/bench tools want this (ask twice, pay nothing, references stay
@@ -93,7 +96,8 @@ class CampaignProvider {
       const apps::AppCampaignConfig& cfg, ran::OperatorId op);
 
   // Re-resolve the worker count (jobs <= 0 reads WHEELS_JOBS); applies to
-  // existing memoized Campaigns as well as future ones.
+  // existing memoized Campaigns as well as future ones, and, as for
+  // ProviderOptions::jobs, to future AppCampaigns only when jobs >= 1.
   void set_jobs(int jobs);
   [[nodiscard]] int jobs() const { return jobs_; }
 
@@ -153,6 +157,8 @@ class CampaignProvider {
   bool verbose_;
   bool memoize_;
   int jobs_ = 1;
+  // The explicitly requested worker count for AppCampaigns, 0 if none.
+  int app_jobs_ = 0;
   int campaign_simulations_ = 0;
   int baseline_simulations_ = 0;
   int disk_hits_ = 0;

@@ -15,6 +15,7 @@
 #include <string>
 #include <utility>
 
+#include "apps/app_campaign.h"
 #include "contract_pins.h"
 #include "core/rng.h"
 #include "dataset/serialize.h"
@@ -176,6 +177,31 @@ TEST_F(RngAudit, DrawCountsMatchAcrossJobs) {
   }
   // And the serialized JSONL (what CI actually compares) is identical.
   EXPECT_EQ(obs::rng_audit_to_jsonl(stats1), obs::rng_audit_to_jsonl(stats4));
+}
+
+TEST_F(RngAudit, AppDrawCountsMatchAcrossJobs) {
+  // The app campaign's phones fork and draw on pool workers: the recorded
+  // tree, counts included, must still be the jobs=1 one.
+  const apps::AppCampaignConfig cfg = apps::AppCampaignConfig::from_scenario(
+      scenario::paper_default(), contract::kGoldenStride);
+  apps::AppCampaign sequential(cfg);
+  sequential.set_jobs(1);
+  (void)sequential.run();
+  const auto stats1 = obs::rng_audit_snapshot();
+
+  obs::reset_rng_audit();
+  apps::AppCampaign parallel(cfg);
+  parallel.set_jobs(3);
+  (void)parallel.run();
+  const auto stats3 = obs::rng_audit_snapshot();
+
+  ASSERT_FALSE(stats1.empty());
+  EXPECT_EQ(obs::rng_audit_to_jsonl(stats1), obs::rng_audit_to_jsonl(stats3))
+      << "app campaign RNG audit trace diverged between jobs=1 and jobs=3";
+  for (const auto& s : stats3) {
+    EXPECT_EQ(s.conflicts, 0u)
+        << "runtime provenance conflict on stream 0x" << std::hex << s.id;
+  }
 }
 
 TEST_F(RngAudit, AuditTransparentGoldenChecksum) {

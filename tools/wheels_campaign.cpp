@@ -67,8 +67,9 @@ int usage(std::ostream& os, int code) {
         "  --apps-stride N  app-campaign cycle stride (default 10)\n"
         "  --seed S         override the scenario's campaign seed\n"
         "  --jobs N         worker threads for generate (default: the\n"
-        "                   WHEELS_JOBS env var, else 1); any N produces\n"
-        "                   byte-identical datasets\n"
+        "                   WHEELS_JOBS env var, else 1, and one per\n"
+        "                   operator inside an app campaign); any N\n"
+        "                   produces byte-identical datasets\n"
         "  --skip-apps      generate: measurement campaign only\n"
         "  --skip-static    generate: skip the static baselines\n"
         "  --out DIR        export-csv: output directory (default .)\n"

@@ -27,7 +27,8 @@ int usage(std::ostream& os, int code) {
         "  --dir DIR          dataset cache directory (default:\n"
         "                     WHEELS_DATASET_DIR or build/dataset-cache)\n"
         "  --jobs N           simulation worker threads (default:\n"
-        "                     WHEELS_JOBS, else 1); any N produces\n"
+        "                     WHEELS_JOBS, else 1, and one per operator\n"
+        "                     inside an app campaign); any N produces\n"
         "                     byte-identical responses\n"
         "  --max-datasets N   resident dataset cap (default:\n"
         "                     WHEELS_SERVE_MAX_DATASETS, else 8)\n"
